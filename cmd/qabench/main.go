@@ -8,10 +8,10 @@
 //	qabench -scale small    # fast, down-scaled environment
 //	qabench -list           # list experiment ids
 //	qabench -stage-metrics  # also print wall-clock p50/p90/p99 per Q/A stage
-//	qabench -perf           # run the hot-path benchmark suite → BENCH_pr10.json
+//	qabench -perf           # run the hot-path benchmark suite → BENCH_perf.json
 //	qabench -perf -perf-check                    # also enforce the serving-path floors, p99 SLOs, gateway load and index compression gates (CI)
 //	qabench -perf -perf-baseline before.json     # fail on >20% same-machine regression (ns/op + ratios)
-//	qabench -perf -perf-baseline BENCH_pr10.json -perf-ratios-only  # CI: gate comparison ratios vs the committed report
+//	qabench -perf -perf-baseline BENCH_perf.json -perf-ratios-only  # CI: gate comparison ratios vs the committed report
 //	qabench -chaos          # run a seeded fault schedule against a live loopback cluster
 //	qabench -load           # open-loop load vs a self-started cluster+gateway: calibrate capacity, run sub- and over-threshold regimes
 //	qabench -load -load-target http://host:8080 -load-rate 200 -load-duration 10s -load-arrivals burst  # fixed-rate vs an external gateway
@@ -44,7 +44,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	stageMetrics := flag.Bool("stage-metrics", false, "record wall-clock per-stage latency histograms and print p50/p90/p99")
 	perfMode := flag.Bool("perf", false, "run the hot-path benchmark suite instead of the experiments")
-	perfOut := flag.String("perf-out", "BENCH_pr10.json", "perf mode: output file for the JSON report")
+	perfOut := flag.String("perf-out", "BENCH_perf.json", "perf mode: output file for the JSON report")
 	perfBudget := flag.Duration("perf-budget", time.Second, "perf mode: measuring time per benchmark")
 	perfScale := flag.String("perf-scale", "tiny", "perf mode: corpus scale (tiny or trec8)")
 	perfBaseline := flag.String("perf-baseline", "", "perf mode: baseline JSON report to diff against; exit non-zero on >tolerance regression (comparison ratios always; ns/op when the environment matches)")

@@ -81,7 +81,7 @@ func main() {
 		}
 		fmt.Printf("node %s: collection %s (%d paragraphs), %d running / %d queued, up %v\n",
 			st.Addr, st.Collection, st.Paragraphs, st.Questions, st.Queued, st.Uptime.Round(time.Second))
-		fmt.Printf("  index: %.1f KiB postings in memory\n", float64(st.IndexBytes)/1024)
+		fmt.Printf("  index: %.1f KiB in memory (postings, dictionary, term runs)\n", float64(st.IndexBytes)/1024)
 		m := st.Metrics
 		fmt.Printf("  served %d questions (%d forwarded away, %d migrated here)\n",
 			m.QuestionsServed, m.ForwardsOut, m.ForwardsIn)

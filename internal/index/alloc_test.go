@@ -6,8 +6,11 @@
 package index
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
+	"distqa/internal/corpus"
 	"distqa/internal/wire"
 )
 
@@ -58,22 +61,44 @@ func TestIntersectionAllocBudget(t *testing.T) {
 	coll := equivCorpus(71, 300)
 	ix := BuildWith(coll, 0, IndexOptions{Compressed: true})
 	// Two frequent stems guarantee multi-block lists in the intersection.
-	var kws []string
+	var ords []int
 	ix.EachTerm(func(stem string, df int) {
-		if df > wire.PostingBlockSize && len(kws) < 3 {
-			kws = append(kws, stem)
+		if df > wire.PostingBlockSize && len(ords) < 3 {
+			ords = append(ords, ix.ordinal(stem))
 		}
 	})
-	if len(kws) < 2 {
-		t.Fatalf("corpus has no multi-block stems (got %d)", len(kws))
+	if len(ords) < 2 {
+		t.Fatalf("corpus has no multi-block stems (got %d)", len(ords))
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	ix.intersectCompressed(kws, sc) // warm the scratch buffers
+	ix.intersectCompressed(ords, sc) // warm the scratch buffers
 	allocs := testing.AllocsPerRun(200, func() {
-		ix.intersectCompressed(kws, sc)
+		ix.intersectCompressed(ords, sc)
 	})
 	if allocs > 1 {
 		t.Errorf("warm compressed intersection allocates %.1f times per op, want ≤1", allocs)
 	}
+}
+
+// TestIndexBytesTracksHeap pins IndexBytes to real memory: building every
+// TREC8Like index must grow the live heap by IndexBytes within 15 %. The
+// figure counts postings, term dictionary and paragraph term runs; the
+// stems a built dictionary shares with the collection's interned tokens are
+// counted but not allocated, which is part of the tolerance.
+func TestIndexBytesTracksHeap(t *testing.T) {
+	coll := corpus.Generate(corpus.TREC8Like())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	set := BuildAll(coll)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	delta := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	got := float64(set.IndexBytes())
+	t.Logf("IndexBytes %.2f MB, heap delta %.2f MB", got/(1<<20), delta/(1<<20))
+	if math.Abs(got-delta) > 0.15*delta {
+		t.Errorf("IndexBytes %.0f B is not within 15%% of the %.0f B heap the build retained", got, delta)
+	}
+	runtime.KeepAlive(set)
 }

@@ -14,9 +14,13 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"unsafe"
 
 	"distqa/internal/corpus"
 )
@@ -39,26 +43,43 @@ type IndexOptions struct {
 // DefaultOptions returns the production configuration: compressed postings.
 func DefaultOptions() IndexOptions { return IndexOptions{Compressed: true} }
 
-// Index is the inverted index of one sub-collection.
+// Index is the inverted index of one sub-collection. Every per-term table
+// is keyed by the term's ordinal in the sorted dictionary, which is also the
+// layout of the DQIX snapshot (persist.go): save and load convert nothing.
 type Index struct {
 	coll *corpus.Collection
 	sub  int
+	docs []*corpus.Document
 
-	// Exactly one of the two postings stores is populated.
-	// postings maps a stem to the sorted list of local doc offsets (plain
-	// core); comp maps a stem to its compressed block list (compressed core).
-	postings map[string][]int32
-	comp     map[string]*compList
-	docs     []*corpus.Document
+	// terms is the sorted term dictionary; a stem's position is its ordinal.
+	terms []string
 
-	// paraStems caches, per paragraph (by global paragraph id), the distinct
-	// stems it contains mapped to occurrence counts.
-	paraStems map[int]map[string]int
+	// Exactly one postings store is populated, indexed by ordinal. postings
+	// holds each stem's sorted local doc offsets (plain core); comp locates
+	// each stem's compressed list in the shared blocks region and skips
+	// table (compressed core).
+	postings [][]int32
+	comp     []compEntry
+	blocks   []byte
+	skips    []skipEntry
 
-	indexBytes int // real bytes of the postings structures
+	// runs holds every paragraph's distinct stems as (ordinal, count) pairs
+	// sorted by ordinal, paragraph after paragraph in document order: the
+	// i-th paragraph of the sub-collection owns runs[runStart[i]:runStart[i+1]],
+	// and docStart[d] is the number of local document d's first paragraph.
+	runs     []termCount
+	runStart []uint32
+	docStart []uint32
+
+	indexBytes int // real bytes of everything above (IndexBytes)
 
 	// cache memoizes Boolean relaxation results per keyword set (cache.go).
 	cache *relaxCache
+}
+
+// termCount is one entry of a paragraph's term run.
+type termCount struct {
+	ord, count uint32
 }
 
 // Build constructs the inverted index for sub-collection sub with the
@@ -71,57 +92,120 @@ func Build(c *corpus.Collection, sub int) *Index {
 // explicit posting-core selection.
 func BuildWith(c *corpus.Collection, sub int, opts IndexOptions) *Index {
 	ix := &Index{
-		coll:      c,
-		sub:       sub,
-		postings:  make(map[string][]int32),
-		docs:      c.Subs[sub].Docs,
-		paraStems: make(map[int]map[string]int),
-		cache:     newRelaxCache(defaultRelaxCacheCap),
+		coll:     c,
+		sub:      sub,
+		docs:     c.Subs[sub].Docs,
+		docStart: make([]uint32, len(c.Subs[sub].Docs)),
+		cache:    newRelaxCache(defaultRelaxCacheCap),
 	}
+	// Number stems in first-seen order while collecting each stem's postings
+	// and each paragraph's (id, count) run; then sort the dictionary and
+	// renumber everything by ordinal.
+	ids := make(map[string]uint32)
+	var stems []string
+	var lists [][]int32
+	var counts, touched []uint32
+	var runs []termCount
+	runStart := []uint32{0}
 	for local, doc := range ix.docs {
-		seen := make(map[string]bool)
+		ix.docStart[local] = uint32(len(runStart) - 1)
 		for _, p := range doc.Paragraphs {
-			counts := make(map[string]int, len(p.Tokens))
 			for _, t := range p.Tokens {
 				if t.Stem == "" {
 					continue
 				}
-				counts[t.Stem]++
-				if !seen[t.Stem] {
-					seen[t.Stem] = true
-					ix.postings[t.Stem] = append(ix.postings[t.Stem], int32(local))
+				id, ok := ids[t.Stem]
+				if !ok {
+					id = uint32(len(stems))
+					ids[t.Stem] = id
+					stems = append(stems, t.Stem)
+					lists = append(lists, nil)
+					counts = append(counts, 0)
+				}
+				if counts[id] == 0 {
+					touched = append(touched, id)
+				}
+				counts[id]++
+				if l := lists[id]; len(l) == 0 || l[len(l)-1] != int32(local) {
+					lists[id] = append(l, int32(local))
 				}
 			}
-			ix.paraStems[p.ID] = counts
+			for _, id := range touched {
+				runs = append(runs, termCount{ord: id, count: counts[id]})
+				counts[id] = 0
+			}
+			touched = touched[:0]
+			runStart = append(runStart, uint32(len(runs)))
 		}
 	}
+
+	byOrd := make([]uint32, len(stems))
+	for i := range byOrd {
+		byOrd[i] = uint32(i)
+	}
+	slices.SortFunc(byOrd, func(a, b uint32) int { return strings.Compare(stems[a], stems[b]) })
+	ordOf := make([]uint32, len(stems))
+	ix.terms = make([]string, len(stems))
+	for ord, id := range byOrd {
+		ix.terms[ord] = stems[id]
+		ordOf[id] = uint32(ord)
+	}
+	ix.runs = make([]termCount, len(runs))
+	for i, tc := range runs {
+		ix.runs[i] = termCount{ord: ordOf[tc.ord], count: tc.count}
+	}
+	for i := 1; i < len(runStart); i++ {
+		slices.SortFunc(ix.runs[runStart[i-1]:runStart[i]], func(a, b termCount) int { return cmp.Compare(a.ord, b.ord) })
+	}
+	// Exact-size copies: append's growth slack would stay resident.
+	ix.runStart = append(make([]uint32, 0, len(runStart)), runStart...)
+
 	if opts.Compressed {
-		ix.comp = make(map[string]*compList, len(ix.postings))
-		for stem, list := range ix.postings {
-			ix.comp[stem] = compressPostings(list)
+		ix.comp = make([]compEntry, len(stems))
+		var blocks []byte
+		var skips []skipEntry
+		for ord, id := range byOrd {
+			blocks, skips, ix.comp[ord] = appendPostings(blocks, skips, lists[id])
 		}
-		ix.postings = nil
+		ix.blocks = append(make([]byte, 0, len(blocks)), blocks...)
+		ix.skips = append(make([]skipEntry, 0, len(skips)), skips...)
+	} else {
+		ix.postings = make([][]int32, len(stems))
+		for ord, id := range byOrd {
+			ix.postings[ord] = lists[id]
+		}
 	}
 	ix.recomputeIndexBytes()
 	return ix
 }
 
-// recomputeIndexBytes derives indexBytes from the live postings structures.
-// Called at build time AND after snapshot load, so a reloaded index reports
-// the same memory figure a fresh build would (the figure is never persisted;
+// recomputeIndexBytes derives indexBytes from the live structures. Called
+// at build time AND after snapshot load, so a reloaded index reports the
+// same memory figure a fresh build would (the figure is never persisted;
 // see persist.go).
 func (ix *Index) recomputeIndexBytes() {
-	total := 0
-	if ix.comp != nil {
-		for stem, cl := range ix.comp {
-			total += len(stem) + cl.sizeBytes()
-		}
-	} else {
-		for stem, list := range ix.postings {
-			total += len(stem) + 4*len(list)
-		}
+	total := ix.PostingsBytes()
+	total += len(ix.terms) * int(unsafe.Sizeof(""))
+	for _, t := range ix.terms {
+		total += len(t)
 	}
+	total += len(ix.runs)*int(unsafe.Sizeof(termCount{})) + 4*(len(ix.runStart)+len(ix.docStart))
 	ix.indexBytes = total
+}
+
+// PostingsBytes reports the real size of the postings core alone: per-term
+// list records, posting data and skip tables. It is the part of IndexBytes
+// the plain and compressed cores differ in.
+func (ix *Index) PostingsBytes() int {
+	if ix.comp != nil {
+		return len(ix.comp)*int(unsafe.Sizeof(compEntry{})) + len(ix.blocks) +
+			len(ix.skips)*int(unsafe.Sizeof(skipEntry{}))
+	}
+	total := len(ix.postings) * int(unsafe.Sizeof([]int32(nil)))
+	for _, list := range ix.postings {
+		total += 4 * len(list)
+	}
+	return total
 }
 
 // Sub returns the sub-collection id this index covers.
@@ -131,40 +215,54 @@ func (ix *Index) Sub() int { return ix.sub }
 func (ix *Index) Compressed() bool { return ix.comp != nil }
 
 // Terms reports the number of distinct indexed stems.
-func (ix *Index) Terms() int {
-	if ix.comp != nil {
-		return len(ix.comp)
-	}
-	return len(ix.postings)
-}
+func (ix *Index) Terms() int { return len(ix.terms) }
 
-// IndexBytes reports the real size of the postings structures.
+// IndexBytes reports the real size of everything the index holds: the
+// postings core, the term dictionary (stem bytes included, though a built
+// index shares them with the collection's interned tokens) and the
+// paragraph term runs.
 func (ix *Index) IndexBytes() int { return ix.indexBytes }
 
-// DocFreq reports how many documents of this sub-collection contain stem.
-func (ix *Index) DocFreq(stem string) int {
-	if ix.comp != nil {
-		if cl := ix.comp[stem]; cl != nil {
-			return int(cl.df)
-		}
-		return 0
+// ordinal returns stem's dictionary ordinal, or -1 if it is not indexed.
+func (ix *Index) ordinal(stem string) int {
+	if ord, ok := slices.BinarySearch(ix.terms, stem); ok {
+		return ord
 	}
-	return len(ix.postings[stem])
+	return -1
 }
 
-// EachTerm calls f once per indexed stem with its document frequency, in
-// unspecified order. It is the vocabulary-enumeration seam the shard term
-// summaries (shard.BuildSummary) are built from; the postings themselves
-// stay private.
-func (ix *Index) EachTerm(f func(stem string, df int)) {
-	if ix.comp != nil {
-		for stem, cl := range ix.comp {
-			f(stem, int(cl.df))
-		}
-		return
+// df returns the document frequency of ordinal ord (0 for -1).
+func (ix *Index) df(ord int) int {
+	switch {
+	case ord < 0:
+		return 0
+	case ix.comp != nil:
+		return int(ix.comp[ord].df)
+	default:
+		return len(ix.postings[ord])
 	}
-	for stem, list := range ix.postings {
-		f(stem, len(list))
+}
+
+// list returns the compressed posting list of ordinal ord.
+func (ix *Index) list(ord int) compList {
+	return viewList(ix.blocks, ix.skips, ix.comp[ord])
+}
+
+// run returns the term run of the sub-collection's i-th paragraph.
+func (ix *Index) run(i uint32) []termCount {
+	return ix.runs[ix.runStart[i]:ix.runStart[i+1]]
+}
+
+// DocFreq reports how many documents of this sub-collection contain stem.
+func (ix *Index) DocFreq(stem string) int { return ix.df(ix.ordinal(stem)) }
+
+// EachTerm calls f once per indexed stem with its document frequency, in
+// ascending stem order. It is the vocabulary-enumeration seam the shard
+// term summaries (shard.BuildSummary) are built from; the postings
+// themselves stay private.
+func (ix *Index) EachTerm(f func(stem string, df int)) {
+	for ord, stem := range ix.terms {
+		f(stem, ix.df(ord))
 	}
 }
 
@@ -194,14 +292,17 @@ type Stats struct {
 // qualifies if it contains at least half (rounded up) of the original
 // keywords.
 //
-// The Boolean-with-relaxation phase runs on sorted postings with a
+// Each keyword is resolved to its dictionary ordinal once. The
+// Boolean-with-relaxation phase runs on sorted postings with a
 // merge/galloping intersection over pooled scratch buffers, and its result
 // is memoized in a small per-index LRU keyed by the (deduplicated, ordered)
 // keyword set — repeated and near-identical questions skip the relaxation
-// loop entirely. The reported Stats are byte-identical whether the result
-// came from the cache or a fresh evaluation: the virtual disk charge models
-// the reads the Boolean engine logically performs, not host-side memoization
-// luck, so the simulator's cost accounting stays reproducible.
+// loop entirely. Paragraph extraction binary-searches each matched
+// paragraph's term run for the keyword ordinals. The reported Stats are
+// byte-identical whether the result came from the cache or a fresh
+// evaluation: the virtual disk charge models the reads the Boolean engine
+// logically performs, not host-side memoization luck, so the simulator's
+// cost accounting stays reproducible.
 func (ix *Index) RetrieveParagraphs(keywords []string) ([]Retrieved, Stats) {
 	var st Stats
 	if len(keywords) == 0 {
@@ -211,21 +312,24 @@ func (ix *Index) RetrieveParagraphs(keywords []string) ([]Retrieved, Stats) {
 	sc := scratchPool.Get().(*scratch)
 	kws := dedupInto(sc.kws[:0], keywords)
 	sc.kws = kws
-
-	// Charge postings reads for every keyword we look at.
+	ords := sc.ords[:0]
 	for _, k := range kws {
-		st.RealBytesTouched += len(k) + 4*ix.DocFreq(k)
+		ord := ix.ordinal(k)
+		ords = append(ords, ord)
+		// Charge postings reads for every keyword we look at.
+		st.RealBytesTouched += len(k) + 4*ix.df(ord)
 	}
+	sc.ords = ords
 
 	// Boolean AND with relaxation, memoized per keyword set.
 	key := cacheKey(sc.key[:0], kws)
 	sc.key = key
 	rr, ok := ix.cache.get(key)
 	if !ok {
-		rr = ix.relax(kws, sc)
+		rr = ix.relax(ords, sc)
 		ix.cache.put(key, rr)
 	}
-	st.KeywordsUsed = len(rr.active)
+	st.KeywordsUsed = rr.used
 	st.DocsMatched = len(rr.docs)
 
 	// Paragraph extraction from matched documents.
@@ -237,12 +341,13 @@ func (ix *Index) RetrieveParagraphs(keywords []string) ([]Retrieved, Stats) {
 	for _, local := range rr.docs {
 		doc := ix.docs[local]
 		st.RealBytesTouched += doc.RealBytes
-		for _, p := range doc.Paragraphs {
+		first := ix.docStart[local]
+		for i, p := range doc.Paragraphs {
 			st.ParagraphsScanned++
-			counts := ix.paraStems[p.ID]
+			run := ix.run(first + uint32(i))
 			matched := 0
-			for _, k := range kws {
-				if counts[k] > 0 {
+			for _, ord := range ords {
+				if ord >= 0 && runHas(run, uint32(ord)) {
 					matched++
 				}
 			}
@@ -255,18 +360,33 @@ func (ix *Index) RetrieveParagraphs(keywords []string) ([]Retrieved, Stats) {
 	return out, st
 }
 
-// relaxResult is one memoized Boolean evaluation: the keywords surviving
-// relaxation (in query order) and the matching local doc offsets. Both
-// slices are owned by the cache and must be treated as immutable.
+// runHas reports whether a term run holds ordinal ord.
+func runHas(run []termCount, ord uint32) bool {
+	lo, hi := 0, len(run)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if run[mid].ord < ord {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(run) && run[lo].ord == ord
+}
+
+// relaxResult is one memoized Boolean evaluation: how many keywords
+// survived relaxation and the matching local doc offsets. docs is owned by
+// the cache and must be treated as immutable.
 type relaxResult struct {
-	active []string
-	docs   []int32
+	used int
+	docs []int32
 }
 
 // relax runs the Boolean AND with relaxation: drop the most restrictive
 // (lowest document frequency) keyword while too few documents match.
-func (ix *Index) relax(kws []string, sc *scratch) relaxResult {
-	active := append(sc.active[:0], kws...)
+// Unknown keywords carry ordinal -1 and document frequency 0.
+func (ix *Index) relax(ords []int, sc *scratch) relaxResult {
+	active := append(sc.active[:0], ords...)
 	var docs []int32
 	for {
 		docs = ix.intersect(active, sc)
@@ -275,7 +395,7 @@ func (ix *Index) relax(kws []string, sc *scratch) relaxResult {
 		}
 		drop := 0
 		for i := 1; i < len(active); i++ {
-			if ix.DocFreq(active[i]) < ix.DocFreq(active[drop]) {
+			if ix.df(active[i]) < ix.df(active[drop]) {
 				drop = i
 			}
 		}
@@ -284,17 +404,15 @@ func (ix *Index) relax(kws []string, sc *scratch) relaxResult {
 	sc.active = active[:0]
 	// Copy out of the scratch buffers: the returned result outlives this
 	// call (it is cached), the scratch does not.
-	return relaxResult{
-		active: append([]string(nil), active...),
-		docs:   append([]int32(nil), docs...),
-	}
+	return relaxResult{used: len(active), docs: append([]int32(nil), docs...)}
 }
 
 // scratch holds the per-retrieval working buffers, pooled so steady-state
 // retrieval performs no intersection allocations.
 type scratch struct {
 	kws    []string
-	active []string
+	ords   []int
+	active []int
 	key    []byte
 	lists  [][]int32
 	bufA   []int32
@@ -302,29 +420,28 @@ type scratch struct {
 	// Compressed-core working state: the per-query list selection and the
 	// block-decode cursor (whose buffer is the single pooled scratch that
 	// keeps steady-state block decode inside the alloc pin).
-	comps []*compList
+	comps []compList
 	cur   compCursor
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// intersect returns the sorted doc offsets containing every stem in kws.
-// The result may alias sc's buffers or a postings list; callers must copy
-// it before sc is reused.
-func (ix *Index) intersect(kws []string, sc *scratch) []int32 {
+// intersect returns the sorted doc offsets containing every ordinal in ords
+// (none if any is -1). The result may alias sc's buffers or a postings list;
+// callers must copy it before sc is reused.
+func (ix *Index) intersect(ords []int, sc *scratch) []int32 {
 	if ix.comp != nil {
-		return ix.intersectCompressed(kws, sc)
+		return ix.intersectCompressed(ords, sc)
 	}
-	if len(kws) == 0 {
+	if len(ords) == 0 {
 		return nil
 	}
 	sc.lists = sc.lists[:0]
-	for _, k := range kws {
-		l := ix.postings[k]
-		if len(l) == 0 {
+	for _, ord := range ords {
+		if ord < 0 {
 			return nil
 		}
-		sc.lists = append(sc.lists, l)
+		sc.lists = append(sc.lists, ix.postings[ord])
 	}
 	// Intersect in ascending length order: the running result can only
 	// shrink, so starting small bounds every later merge.
@@ -350,17 +467,16 @@ func (ix *Index) intersect(kws []string, sc *scratch) []int32 {
 // intersection the plain core produces — set intersection is independent of
 // operand order and representation — and may alias sc's buffers; callers
 // must copy it before sc is reused.
-func (ix *Index) intersectCompressed(kws []string, sc *scratch) []int32 {
-	if len(kws) == 0 {
+func (ix *Index) intersectCompressed(ords []int, sc *scratch) []int32 {
+	if len(ords) == 0 {
 		return nil
 	}
 	sc.comps = sc.comps[:0]
-	for _, k := range kws {
-		cl := ix.comp[k]
-		if cl == nil || cl.df == 0 {
+	for _, ord := range ords {
+		if ord < 0 {
 			return nil
 		}
-		sc.comps = append(sc.comps, cl)
+		sc.comps = append(sc.comps, ix.list(ord))
 	}
 	// Ascending document frequency: the running result can only shrink, so
 	// seeding with the rarest term bounds every later cursor walk. Insertion
@@ -474,10 +590,6 @@ func dedupInto(dst, ws []string) []string {
 	}
 	return dst
 }
-
-// dedup returns the distinct non-empty keywords in first-seen order
-// (allocating convenience wrapper around dedupInto).
-func dedup(ws []string) []string { return dedupInto(nil, ws) }
 
 // cacheKey appends the canonical cache key of an ordered keyword set to dst
 // (keywords joined by a separator that cannot appear in a stem).
@@ -613,8 +725,9 @@ func (s *Set) Full() bool { return len(s.Indexes) == len(s.Coll.Subs) && s.byGlo
 // Len returns the number of sub-collections this set holds.
 func (s *Set) Len() int { return len(s.Indexes) }
 
-// IndexBytes reports the total real size of the postings structures across
-// every held sub-collection (the figure qactl -status surfaces per node).
+// IndexBytes reports the total real size of every held sub-collection's
+// index — postings, term dictionary and paragraph term runs (the figure
+// qactl -status surfaces per node).
 func (s *Set) IndexBytes() int {
 	total := 0
 	for _, ix := range s.Indexes {

@@ -61,6 +61,34 @@ func TestDocFreqMatchesScan(t *testing.T) {
 	}
 }
 
+// TestTermRunsMatchTokens: every paragraph's term run holds exactly its
+// distinct stems, sorted by ordinal, with their occurrence counts.
+func TestTermRunsMatchTokens(t *testing.T) {
+	for _, compressed := range []bool{true, false} {
+		ix := BuildWith(testColl, 1, IndexOptions{Compressed: compressed})
+		for local, doc := range ix.docs {
+			for i, p := range doc.Paragraphs {
+				want := map[string]uint32{}
+				for _, tok := range p.Tokens {
+					want[tok.Stem]++
+				}
+				run := ix.run(ix.docStart[local] + uint32(i))
+				if len(run) != len(want) {
+					t.Fatalf("paragraph %d: run has %d stems, tokens %d", p.ID, len(run), len(want))
+				}
+				for j, tc := range run {
+					if j > 0 && tc.ord <= run[j-1].ord {
+						t.Fatalf("paragraph %d: run not sorted by ordinal", p.ID)
+					}
+					if stem := ix.terms[tc.ord]; want[stem] != tc.count {
+						t.Fatalf("paragraph %d: %q counted %d, tokens say %d", p.ID, stem, tc.count, want[stem])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRetrieveFindsGoldParagraph(t *testing.T) {
 	s := BuildAll(testColl)
 	missed := 0
@@ -209,6 +237,9 @@ func TestIntersectSortedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// dedup returns the distinct non-empty keywords in first-seen order.
+func dedup(ws []string) []string { return dedupInto(nil, ws) }
 
 func sortedUnique(xs []int32) []int32 {
 	seen := map[int32]bool{}

@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
 
 	"distqa/internal/corpus"
 	"distqa/internal/wire"
@@ -56,49 +56,32 @@ func align(n int64) int64 {
 	return (n + pageSize - 1) &^ (pageSize - 1)
 }
 
-// savedList is the per-term save-side view: a compressed list plus its
-// offset within the index's block region.
-type savedList struct {
-	stem string
-	cl   *compList
-	off  int64
-}
-
 // Save serialises the index set to w in the DQIX container format. Together
 // with the collection's corpus.Config (which regenerates the collection
 // bit-for-bit), a snapshot lets a node come up without paying the indexing
-// cost. Plain-core sets compress on the fly: the on-disk format is always
+// cost. The header is the in-memory layout written out: the sorted term
+// dictionary, each list's extent, and each paragraph's (ordinal, count)
+// run. Plain-core sets compress on the fly: the on-disk format is always
 // the block-compressed one, and the core selection is re-applied at load.
 func (s *Set) Save(w io.Writer) error {
-	// Stage every index's sorted dictionary and region layout first: the
-	// header stores region lengths, so it must be encoded before any blocks
-	// are written.
+	// Stage every index's posting lists in ordinal order first: the header
+	// stores region lengths, so it must be encoded before any blocks are
+	// written.
 	type stagedIndex struct {
 		ix        *Index
-		lists     []savedList
-		ordinals  map[string]int
+		lists     []compList
 		regionLen int64
 	}
 	staged := make([]*stagedIndex, 0, len(s.Indexes))
 	for _, ix := range s.Indexes {
-		st := &stagedIndex{ix: ix}
-		if ix.comp != nil {
-			st.lists = make([]savedList, 0, len(ix.comp))
-			for stem, cl := range ix.comp {
-				st.lists = append(st.lists, savedList{stem: stem, cl: cl})
+		st := &stagedIndex{ix: ix, lists: make([]compList, len(ix.terms))}
+		for ord := range ix.terms {
+			if ix.comp != nil {
+				st.lists[ord] = ix.list(ord)
+			} else {
+				st.lists[ord] = compressPostings(ix.postings[ord])
 			}
-		} else {
-			st.lists = make([]savedList, 0, len(ix.postings))
-			for stem, list := range ix.postings {
-				st.lists = append(st.lists, savedList{stem: stem, cl: compressPostings(list)})
-			}
-		}
-		sort.Slice(st.lists, func(i, j int) bool { return st.lists[i].stem < st.lists[j].stem })
-		st.ordinals = make(map[string]int, len(st.lists))
-		for i := range st.lists {
-			st.lists[i].off = st.regionLen
-			st.regionLen += int64(len(st.lists[i].cl.data))
-			st.ordinals[st.lists[i].stem] = i
+			st.regionLen += int64(len(st.lists[ord].data))
 		}
 		staged = append(staged, st)
 	}
@@ -114,44 +97,33 @@ func (s *Set) Save(w io.Writer) error {
 		hdr.Uint64(uint64(st.ix.sub))
 		hdr.Uint64(uint64(st.regionLen))
 		hdr.Uint64(uint64(len(st.lists)))
-		for _, sl := range st.lists {
-			hdr.String(sl.stem)
-			hdr.Uint64(uint64(sl.cl.df))
-			hdr.Uint64(uint64(sl.off))
-			hdr.Uint64(uint64(len(sl.cl.data)))
-			hdr.Uint64(uint64(len(sl.cl.skips)))
-			for _, sk := range sl.cl.skips {
+		off := 0
+		for ord, cl := range st.lists {
+			hdr.String(st.ix.terms[ord])
+			hdr.Uint64(uint64(cl.df))
+			hdr.Uint64(uint64(off))
+			hdr.Uint64(uint64(len(cl.data)))
+			hdr.Uint64(uint64(len(cl.skips)))
+			for _, sk := range cl.skips {
 				hdr.Uint64(uint64(sk.max))
 				hdr.Uint64(uint64(sk.off))
 				hdr.Uint64(uint64(sk.n))
 			}
+			off += len(cl.data)
 		}
-		// Paragraph stem tables, stems by dictionary ordinal. Paragraph ids
-		// and per-paragraph ordinals are sorted so the output is byte-stable.
-		paraIDs := make([]int, 0, len(st.ix.paraStems))
-		for id := range st.ix.paraStems {
-			paraIDs = append(paraIDs, id)
-		}
-		sort.Ints(paraIDs)
-		hdr.Uint64(uint64(len(paraIDs)))
-		for _, id := range paraIDs {
-			counts := st.ix.paraStems[id]
-			ords := make([]int, 0, len(counts))
-			for stem := range counts {
-				ord, ok := st.ordinals[stem]
-				if !ok {
-					// Unreachable: every paragraph stem has a posting entry
-					// by construction of Build.
-					return fmt.Errorf("index: save: paragraph %d stem %q not in term dictionary", id, stem)
+		// Paragraph term runs in document order, which is ascending
+		// paragraph id order.
+		hdr.Uint64(uint64(len(st.ix.runStart) - 1))
+		for local, doc := range st.ix.docs {
+			first := st.ix.docStart[local]
+			for i, p := range doc.Paragraphs {
+				run := st.ix.run(first + uint32(i))
+				hdr.Uint64(uint64(p.ID))
+				hdr.Uint64(uint64(len(run)))
+				for _, tc := range run {
+					hdr.Uint64(uint64(tc.ord))
+					hdr.Uint64(uint64(tc.count))
 				}
-				ords = append(ords, ord)
-			}
-			sort.Ints(ords)
-			hdr.Uint64(uint64(id))
-			hdr.Uint64(uint64(len(ords)))
-			for _, ord := range ords {
-				hdr.Uint64(uint64(ord))
-				hdr.Uint64(uint64(counts[st.lists[ord].stem]))
 			}
 		}
 	}
@@ -190,8 +162,8 @@ func (s *Set) Save(w io.Writer) error {
 		if err := pad(align(written)); err != nil {
 			return err
 		}
-		for _, sl := range st.lists {
-			n, err := w.Write(sl.cl.data)
+		for _, cl := range st.lists {
+			n, err := w.Write(cl.data)
 			written += int64(n)
 			if err != nil {
 				return fmt.Errorf("index: save: %w", err)
@@ -294,7 +266,6 @@ func parseContainer(buf []byte, c *corpus.Collection, opts IndexOptions, closer 
 			nindexes, len(c.Subs))
 	}
 
-	totalParas := len(c.Paragraphs())
 	regionCursor := align(int64(fixedHeader) + int64(headerLen))
 	indexes := make([]*Index, 0, nindexes)
 	var decodeBuf []int32
@@ -328,18 +299,23 @@ func parseContainer(buf []byte, c *corpus.Collection, opts IndexOptions, closer 
 			return nil, fmt.Errorf("index: load: %w (term count)", wire.ErrCorrupt)
 		}
 		ix := &Index{
-			coll:      c,
-			sub:       int(sub),
-			docs:      c.Subs[sub].Docs,
-			paraStems: make(map[int]map[string]int),
-			cache:     newRelaxCache(defaultRelaxCacheCap),
+			coll:     c,
+			sub:      int(sub),
+			docs:     c.Subs[sub].Docs,
+			terms:    make([]string, 0, nterms),
+			docStart: make([]uint32, ndocs),
+			cache:    newRelaxCache(defaultRelaxCacheCap),
 		}
 		if opts.Compressed {
-			ix.comp = make(map[string]*compList, nterms)
+			if regionLen > math.MaxUint32 {
+				return nil, fmt.Errorf("index: load: %w (block region over 4 GiB)", wire.ErrCorrupt)
+			}
+			ix.comp = make([]compEntry, 0, nterms)
+			ix.blocks = region
 		} else {
-			ix.postings = make(map[string][]int32, nterms)
+			ix.postings = make([][]int32, 0, nterms)
 		}
-		dict := make([]string, 0, nterms)
+		var skips []skipEntry
 		prevStem := ""
 		for t := 0; t < int(nterms); t++ {
 			stem := hr.String()
@@ -360,45 +336,40 @@ func parseContainer(buf []byte, c *corpus.Collection, opts IndexOptions, closer 
 			if dataLen > uint64(len(region)) || dataOff > uint64(len(region))-dataLen {
 				return nil, fmt.Errorf("index: load: %w (term data out of range)", wire.ErrCorrupt)
 			}
-			cl := &compList{
-				df:   int32(df),
-				data: region[dataOff : dataOff+dataLen : dataOff+dataLen],
-			}
-			wantBlocks := (int(df) + wire.PostingBlockSize - 1) / wire.PostingBlockSize
-			if int(df) <= wire.PostingBlockSize {
-				if nskips != 0 {
-					return nil, fmt.Errorf("index: load: %w (skip table on single-block list)", wire.ErrCorrupt)
-				}
-			} else if nskips != wantBlocks {
+			if nskips != skipBlocks(int(df)) {
 				return nil, fmt.Errorf("index: load: %w (%d skip entries for df %d)", wire.ErrCorrupt, nskips, df)
 			}
-			if nskips > 0 {
-				cl.skips = make([]skipEntry, nskips)
-				remaining := int(df)
-				for s := 0; s < nskips; s++ {
-					max := hr.Uint64()
-					off := hr.Uint64()
-					n := hr.Uint64()
-					if err := hr.Err(); err != nil {
-						return nil, fmt.Errorf("index: load: %w", err)
-					}
-					want := wire.PostingBlockSize
-					if remaining < want {
-						want = remaining
-					}
-					if max >= uint64(ndocs) || off > dataLen || n != uint64(want) {
-						return nil, fmt.Errorf("index: load: %w (skip entry of term %q)", wire.ErrCorrupt, stem)
-					}
-					if s == 0 && off != 0 {
-						return nil, fmt.Errorf("index: load: %w (first block not at offset 0)", wire.ErrCorrupt)
-					}
-					if s > 0 && (off <= uint64(cl.skips[s-1].off) || max <= uint64(cl.skips[s-1].max)) {
-						return nil, fmt.Errorf("index: load: %w (skip table not increasing)", wire.ErrCorrupt)
-					}
-					cl.skips[s] = skipEntry{max: int32(max), off: uint32(off), n: uint16(n)}
-					remaining -= want
-				}
+			entry := compEntry{
+				df:   int32(df),
+				off:  uint32(dataOff),
+				end:  uint32(dataOff + dataLen),
+				skip: uint32(len(skips)),
 			}
+			remaining := int(df)
+			for i := 0; i < nskips; i++ {
+				max := hr.Uint64()
+				off := hr.Uint64()
+				n := hr.Uint64()
+				if err := hr.Err(); err != nil {
+					return nil, fmt.Errorf("index: load: %w", err)
+				}
+				want := wire.PostingBlockSize
+				if remaining < want {
+					want = remaining
+				}
+				if max >= uint64(ndocs) || off > dataLen || n != uint64(want) {
+					return nil, fmt.Errorf("index: load: %w (skip entry of term %q)", wire.ErrCorrupt, stem)
+				}
+				if i == 0 && off != 0 {
+					return nil, fmt.Errorf("index: load: %w (first block not at offset 0)", wire.ErrCorrupt)
+				}
+				if last := len(skips) - 1; i > 0 && (off <= uint64(skips[last].off) || max <= uint64(skips[last].max)) {
+					return nil, fmt.Errorf("index: load: %w (skip table not increasing)", wire.ErrCorrupt)
+				}
+				skips = append(skips, skipEntry{max: int32(max), off: uint32(off), n: uint16(n)})
+				remaining -= want
+			}
+			cl := viewList(region, skips, entry)
 			// Structural verification: decode every block now so query-time
 			// decode can never fail, checking counts, monotonicity across
 			// blocks, the doc-id ceiling and the recorded per-block maxima.
@@ -424,51 +395,63 @@ func parseContainer(buf []byte, c *corpus.Collection, opts IndexOptions, closer 
 			if len(decodeBuf) != int(df) {
 				return nil, fmt.Errorf("index: load: %w (decoded %d docs of term %q, df %d)", wire.ErrCorrupt, len(decodeBuf), stem, df)
 			}
-			dict = append(dict, stem)
+			ix.terms = append(ix.terms, stem)
 			if opts.Compressed {
-				ix.comp[stem] = cl
+				ix.comp = append(ix.comp, entry)
 			} else {
-				ix.postings[stem] = append([]int32(nil), decodeBuf...)
+				ix.postings = append(ix.postings, append([]int32(nil), decodeBuf...))
 			}
 		}
+		if opts.Compressed {
+			ix.skips = append(make([]skipEntry, 0, len(skips)), skips...)
+		}
 
-		// Paragraph stem tables: ordinals resolve against the dictionary so
-		// each stem string is shared between postings and paraStems.
+		// Paragraph term runs: one per paragraph of the sub-collection, in
+		// document order, each strictly increasing by ordinal.
 		nparas := hr.ListLen(2)
 		if err := hr.Err(); err != nil {
 			return nil, fmt.Errorf("index: load: %w", err)
 		}
-		for p := 0; p < nparas; p++ {
-			id := hr.Uint64()
-			nstems := hr.ListLen(2)
-			if err := hr.Err(); err != nil {
-				return nil, fmt.Errorf("index: load: %w", err)
-			}
-			if id >= uint64(totalParas) {
-				return nil, fmt.Errorf("index: load: %w (paragraph id %d, collection has %d)", wire.ErrCorrupt, id, totalParas)
-			}
-			if _, dup := ix.paraStems[int(id)]; dup {
-				return nil, fmt.Errorf("index: load: %w (duplicate paragraph %d)", wire.ErrCorrupt, id)
-			}
-			counts := make(map[string]int, nstems)
-			prevOrd := -1
-			for s := 0; s < nstems; s++ {
-				ord := hr.Uint64()
-				count := hr.Uint64()
+		paras := 0
+		for _, doc := range ix.docs {
+			paras += len(doc.Paragraphs)
+		}
+		if nparas != paras {
+			return nil, fmt.Errorf("index: load: %w (%d paragraph runs, sub has %d paragraphs)", wire.ErrCorrupt, nparas, paras)
+		}
+		var runs []termCount
+		ix.runStart = make([]uint32, 1, nparas+1)
+		for local, doc := range ix.docs {
+			ix.docStart[local] = uint32(len(ix.runStart) - 1)
+			for _, p := range doc.Paragraphs {
+				id := hr.Uint64()
+				nstems := hr.ListLen(2)
 				if err := hr.Err(); err != nil {
 					return nil, fmt.Errorf("index: load: %w", err)
 				}
-				if ord >= uint64(len(dict)) || int(ord) <= prevOrd {
-					return nil, fmt.Errorf("index: load: %w (paragraph %d stem ordinal)", wire.ErrCorrupt, id)
+				if id != uint64(p.ID) {
+					return nil, fmt.Errorf("index: load: %w (paragraph id %d, want %d)", wire.ErrCorrupt, id, p.ID)
 				}
-				if count == 0 || count > uint64(1<<30) {
-					return nil, fmt.Errorf("index: load: %w (paragraph %d stem count)", wire.ErrCorrupt, id)
+				prevOrd := -1
+				for i := 0; i < nstems; i++ {
+					ord := hr.Uint64()
+					count := hr.Uint64()
+					if err := hr.Err(); err != nil {
+						return nil, fmt.Errorf("index: load: %w", err)
+					}
+					if ord >= uint64(len(ix.terms)) || int(ord) <= prevOrd {
+						return nil, fmt.Errorf("index: load: %w (paragraph %d stem ordinal)", wire.ErrCorrupt, id)
+					}
+					if count == 0 || count > uint64(1<<30) {
+						return nil, fmt.Errorf("index: load: %w (paragraph %d stem count)", wire.ErrCorrupt, id)
+					}
+					prevOrd = int(ord)
+					runs = append(runs, termCount{ord: uint32(ord), count: uint32(count)})
 				}
-				prevOrd = int(ord)
-				counts[dict[ord]] = int(count)
+				ix.runStart = append(ix.runStart, uint32(len(runs)))
 			}
-			ix.paraStems[int(id)] = counts
 		}
+		ix.runs = append(make([]termCount, 0, len(runs)), runs...)
 		// The memory figure is never persisted: recompute it so a reloaded
 		// index reports exactly what a fresh build would (the old gob format
 		// stored the build-time figure and let it drift from the loaded

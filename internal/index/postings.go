@@ -28,8 +28,10 @@ type skipEntry struct {
 	n uint16
 }
 
-// compList is one term's compressed posting list. Immutable after build or
-// load; data may alias a read-only mmap region, so it must never be written.
+// compList is a view of one term's compressed posting list: its slices
+// alias the owning index's shared block region and skip table (Index.list).
+// Immutable; data may alias a read-only mmap region, so it must never be
+// written.
 type compList struct {
 	// df is the document frequency — the total count across all blocks.
 	df int32
@@ -38,8 +40,26 @@ type compList struct {
 	// skips has one entry per block, in doc-id order. It is nil when the
 	// whole list fits a single block (df ≤ PostingBlockSize): rare terms
 	// dominate the vocabulary, and a mandatory skip entry would cost them
-	// 10 bytes each for a table the intersection could never skip over.
+	// a table the intersection could never skip over.
 	skips []skipEntry
+}
+
+// compEntry is what an index stores per term of the compressed core: the
+// list's extent in the index's block region and, for multi-block lists, the
+// first of its skipBlocks(df) entries in the index's skip table.
+type compEntry struct {
+	df       int32
+	off, end uint32
+	skip     uint32
+}
+
+// skipBlocks returns the skip-table length of a list of df documents: one
+// entry per block, none for a single-block list.
+func skipBlocks(df int) int {
+	if df <= wire.PostingBlockSize {
+		return 0
+	}
+	return (df + wire.PostingBlockSize - 1) / wire.PostingBlockSize
 }
 
 // blocks returns the number of encoded blocks.
@@ -74,37 +94,47 @@ func (cl *compList) blockCount(i int) int {
 	return int(cl.skips[i].n)
 }
 
-// sizeBytes reports the real in-memory footprint of the list's postings
-// structures: the encoded blocks plus the skip table (10 bytes per entry —
-// max + off + n). The stem string itself is charged by the caller, mirroring
-// the plain core's len(stem) + 4·df accounting.
-func (cl *compList) sizeBytes() int {
-	return len(cl.data) + 10*len(cl.skips)
-}
-
-// compressPostings builds the compressed form of a sorted, strictly
-// increasing postings list.
-func compressPostings(docs []int32) *compList {
-	cl := &compList{df: int32(len(docs))}
+// appendPostings appends the compressed form of a sorted, strictly
+// increasing postings list to a block region and a skip table, and returns
+// the list's entry. Skip offsets are relative to the list's first block, so
+// a list's bytes are the same wherever its region puts them.
+func appendPostings(blocks []byte, skips []skipEntry, docs []int32) ([]byte, []skipEntry, compEntry) {
+	e := compEntry{df: int32(len(docs)), off: uint32(len(blocks)), skip: uint32(len(skips))}
 	if len(docs) <= wire.PostingBlockSize {
-		cl.data = wire.AppendPostingBlock(nil, docs)
-		return cl
+		blocks = wire.AppendPostingBlock(blocks, docs)
+		e.end = uint32(len(blocks))
+		return blocks, skips, e
 	}
-	nblocks := (len(docs) + wire.PostingBlockSize - 1) / wire.PostingBlockSize
-	cl.skips = make([]skipEntry, 0, nblocks)
 	for start := 0; start < len(docs); start += wire.PostingBlockSize {
 		end := start + wire.PostingBlockSize
 		if end > len(docs) {
 			end = len(docs)
 		}
-		cl.skips = append(cl.skips, skipEntry{
+		skips = append(skips, skipEntry{
 			max: docs[end-1],
-			off: uint32(len(cl.data)),
+			off: uint32(len(blocks)) - e.off,
 			n:   uint16(end - start),
 		})
-		cl.data = wire.AppendPostingBlock(cl.data, docs[start:end])
+		blocks = wire.AppendPostingBlock(blocks, docs[start:end])
+	}
+	e.end = uint32(len(blocks))
+	return blocks, skips, e
+}
+
+// viewList returns the compList view of entry e over a block region and a
+// skip table.
+func viewList(blocks []byte, skips []skipEntry, e compEntry) compList {
+	cl := compList{df: e.df, data: blocks[e.off:e.end:e.end]}
+	if n := skipBlocks(int(e.df)); n > 0 {
+		cl.skips = skips[e.skip : int(e.skip)+n : int(e.skip)+n]
 	}
 	return cl
+}
+
+// compressPostings builds a standalone compressed list.
+func compressPostings(docs []int32) compList {
+	blocks, skips, e := appendPostings(nil, nil, docs)
+	return viewList(blocks, skips, e)
 }
 
 // decodeAll appends every doc id of the list to dst. Used when the list is
@@ -130,7 +160,7 @@ func (cl *compList) decodeAll(dst []int32) []int32 {
 // once per intersection and blocks the skip table rules out are never
 // decoded at all.
 type compCursor struct {
-	cl *compList
+	cl compList
 	// block is the index of the currently decoded block, -1 when none.
 	block int
 	// buf holds the decoded docs of block; pos is the intra-block read head.
@@ -139,7 +169,7 @@ type compCursor struct {
 }
 
 // reset binds the cursor to a list, keeping buf's capacity.
-func (c *compCursor) reset(cl *compList) {
+func (c *compCursor) reset(cl compList) {
 	c.cl = cl
 	c.block = -1
 	c.buf = c.buf[:0]
@@ -229,7 +259,7 @@ func gallop32(s []int32, x int32) int {
 // list cl using cursor cur, appending survivors to dst. It is the compressed
 // twin of intersectInto's galloping branch: candidates drive block seeks, so
 // only blocks that can contain a candidate are ever decompressed.
-func intersectComp(dst []int32, a []int32, cl *compList, cur *compCursor) []int32 {
+func intersectComp(dst []int32, a []int32, cl compList, cur *compCursor) []int32 {
 	cur.reset(cl)
 	for _, x := range a {
 		if cur.contains(x) {

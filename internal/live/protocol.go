@@ -269,8 +269,9 @@ type Status struct {
 	Addr       string
 	Collection string
 	Paragraphs int
-	// IndexBytes is the real in-memory size of the node's postings
-	// structures, summed over its held sub-collections. Taken live from the
+	// IndexBytes is the real in-memory size of the node's indexes —
+	// postings, term dictionaries and paragraph term runs — summed over its
+	// held sub-collections. Taken live from the
 	// index set, so it is correct for snapshot-loaded indexes too (the
 	// figure is recomputed at load, never persisted).
 	IndexBytes int

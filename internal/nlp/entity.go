@@ -161,25 +161,26 @@ func (g *Gazetteer) Recognize(tokens []Token) []Entity {
 			continue
 		}
 		t := tokens[i]
+		numeric := isNumeric(t.Text)
 		switch {
 		case isMonthName(t.Text):
 			end := i + 1
-			for end < len(tokens) && end < i+3 && tokens[end].Numeric && !used[end] {
+			for end < len(tokens) && end < i+3 && isNumeric(tokens[end].Text) && !used[end] {
 				end++
 			}
 			out = append(out, Entity{Type: Date, Text: joinTokens(tokens[i:end]), Start: i, End: end})
 			for k := i; k < end; k++ {
 				used[k] = true
 			}
-		case t.Numeric && i+1 < len(tokens) && !used[i+1] &&
+		case numeric && i+1 < len(tokens) && !used[i+1] &&
 			(tokens[i+1].Text == "dollars" || tokens[i+1].Text == "usd"):
 			out = append(out, Entity{Type: Money, Text: joinTokens(tokens[i : i+2]), Start: i, End: i + 2})
 			used[i] = true
 			used[i+1] = true
-		case t.Numeric && len(t.Text) == 4 && (strings.HasPrefix(t.Text, "1") || strings.HasPrefix(t.Text, "2")):
+		case numeric && len(t.Text) == 4 && (strings.HasPrefix(t.Text, "1") || strings.HasPrefix(t.Text, "2")):
 			out = append(out, Entity{Type: Date, Text: t.Text, Start: i, End: i + 1})
 			used[i] = true
-		case t.Numeric:
+		case numeric:
 			out = append(out, Entity{Type: Quantity, Text: t.Text, Start: i, End: i + 1})
 			used[i] = true
 		}

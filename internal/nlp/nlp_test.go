@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
+	"unsafe"
 )
 
 func TestTokenizeBasic(t *testing.T) {
@@ -17,15 +19,6 @@ func TestTokenizeBasic(t *testing.T) {
 		if toks[i].Text != w {
 			t.Fatalf("token %d = %q, want %q", i, toks[i].Text, w)
 		}
-		if toks[i].Pos != i {
-			t.Fatalf("token %d has Pos %d", i, toks[i].Pos)
-		}
-	}
-	if !toks[0].Capitalized || !toks[3].Capitalized {
-		t.Fatal("Where and Taj should be marked capitalized")
-	}
-	if toks[1].Capitalized {
-		t.Fatal("'is' should not be capitalized")
 	}
 }
 
@@ -39,10 +32,10 @@ func TestTokenizePunctuationAndNumbers(t *testing.T) {
 	if !reflect.DeepEqual(texts, want) {
 		t.Fatalf("texts = %v, want %v", texts, want)
 	}
-	if !toks[1].Numeric {
+	if !isNumeric(toks[1].Text) {
 		t.Fatal("1987 should be numeric")
 	}
-	if toks[7].Numeric {
+	if isNumeric(toks[7].Text) {
 		t.Fatal("'toured' should not be numeric")
 	}
 }
@@ -259,22 +252,12 @@ func TestAnalyzeQuestionDeduplicates(t *testing.T) {
 	}
 }
 
-func TestTokenizeCapitalizedPerWord(t *testing.T) {
-	toks := Tokenize("alpha Beta gamma Delta")
-	wantCaps := []bool{false, true, false, true}
-	for i, w := range wantCaps {
-		if toks[i].Capitalized != w {
-			t.Fatalf("token %d capitalized = %v, want %v", i, toks[i].Capitalized, w)
-		}
-	}
-}
-
-// Property: tokenization output positions are dense and ordered.
+// Property: every token is a non-empty lower-cased word with a stem.
 func TestTokenizePositionsProperty(t *testing.T) {
 	f := func(s string) bool {
 		toks := Tokenize(s)
-		for i, tk := range toks {
-			if tk.Pos != i || tk.Text == "" {
+		for _, tk := range toks {
+			if tk.Text == "" || tk.Stem == "" {
 				return false
 			}
 			if tk.Text != strings.ToLower(tk.Text) {
@@ -285,5 +268,62 @@ func TestTokenizePositionsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// runeTokenize is the reference splitter: it converts the text to runes
+// first, so invalid UTF-8 becomes U+FFFD before words are cut.
+func runeTokenize(text string) []Token {
+	var out []Token
+	runes := []rune(text)
+	start := -1
+	for i := 0; i <= len(runes); i++ {
+		if i < len(runes) && (unicode.IsLetter(runes[i]) || unicode.IsDigit(runes[i]) || runes[i] == '\'') {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start >= 0 {
+			lower := strings.ToLower(string(runes[start:i]))
+			out = append(out, Token{Text: lower, Stem: Stem(lower)})
+			start = -1
+		}
+	}
+	return out
+}
+
+// Property: the in-place splitter and the interner produce exactly the
+// reference tokens, for any input — including invalid UTF-8.
+func TestTokenizeMatchesRuneReference(t *testing.T) {
+	in := NewInterner()
+	f := func(s string, raw []byte) bool {
+		for _, text := range []string{s, string(raw), s + "\xff" + s, "Ab\xc3cd Éé l'eau 42"} {
+			want := runeTokenize(text)
+			if !reflect.DeepEqual(Tokenize(text), want) || !reflect.DeepEqual(in.AppendTokens(nil, text), want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInternerSharesStrings: every token of one word, in any text, refers
+// to the same string data, and a stem equal to its word shares the word's.
+func TestInternerSharesStrings(t *testing.T) {
+	in := NewInterner()
+	a := in.AppendTokens(nil, "Running dogs run")
+	b := in.AppendTokens(nil, "the dog was running")
+	if unsafe.StringData(a[0].Text) != unsafe.StringData(b[3].Text) {
+		t.Fatal("'running' is stored twice")
+	}
+	if unsafe.StringData(a[0].Stem) != unsafe.StringData(a[2].Text) {
+		t.Fatal("stem 'run' and word 'run' are stored twice")
+	}
+	if unsafe.StringData(a[1].Stem) != unsafe.StringData(b[1].Text) {
+		t.Fatal("stem 'dog' and word 'dog' are stored twice")
 	}
 }

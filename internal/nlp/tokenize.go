@@ -18,74 +18,92 @@ import (
 	"unicode"
 )
 
-// Token is a normalised word occurrence within a text.
+// Token is a normalised word occurrence within a text. Its position in the
+// text is its index in the slice Tokenize returns.
 type Token struct {
 	// Text is the lower-cased surface form.
 	Text string
 	// Stem is the stemmed form used for matching.
 	Stem string
-	// Pos is the token index within its text (0-based).
-	Pos int
-	// Capitalized records whether the original form started with an
-	// upper-case letter (a cheap NER feature).
-	Capitalized bool
-	// Numeric records whether the token is all digits.
-	Numeric bool
 }
 
 // Tokenize splits text into normalised tokens. Words are maximal runs of
 // letters, digits or apostrophes; everything else separates tokens.
-func Tokenize(text string) []Token {
-	var tokens []Token
+func Tokenize(text string) []Token { return appendTokens(nil, text, nil) }
+
+// Interner tokenizes many texts while sharing their strings: each distinct
+// surface word is lower-cased and stemmed once, and every token of it, in
+// any text, refers to the same Text and Stem data. A corpus holds a few
+// thousand distinct words across a million tokens, so this is what keeps
+// the token streams it stores at 32 bytes a token. An Interner is not safe
+// for concurrent use.
+type Interner struct {
+	// words maps a raw surface word to its token.
+	words map[string]Token
+	// strs holds every lower-cased word and stem handed out.
+	strs map[string]string
+}
+
+// NewInterner returns an empty interner.
+func NewInterner() *Interner {
+	return &Interner{words: make(map[string]Token), strs: make(map[string]string)}
+}
+
+// AppendTokens appends the tokens of text to dst, exactly as Tokenize would
+// produce them, with interned strings.
+func (in *Interner) AppendTokens(dst []Token, text string) []Token {
+	return appendTokens(dst, text, in)
+}
+
+// appendTokens is Tokenize's word splitter. Ranging over the string decodes
+// UTF-8 in place; an invalid byte decodes to utf8.RuneError, which is not a
+// word rune, so it separates tokens just as a []rune conversion would.
+func appendTokens(dst []Token, text string, in *Interner) []Token {
 	start := -1
-	runes := []rune(text)
-	flush := func(end int) {
-		if start < 0 {
-			return
-		}
-		word := string(runes[start:end])
-		start = -1
-		lower := strings.ToLower(word)
-		tokens = append(tokens, Token{
-			Text:        lower,
-			Stem:        Stem(lower),
-			Pos:         len(tokens),
-			Capitalized: unicode.IsUpper(runes[0]) || unicode.IsUpper([]rune(word)[0]),
-			Numeric:     isNumeric(word),
-		})
-	}
-	for i, r := range runes {
+	for i, r := range text {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '\'' {
 			if start < 0 {
 				start = i
 			}
-		} else {
-			flush(i)
+		} else if start >= 0 {
+			dst = append(dst, in.token(text[start:i]))
+			start = -1
 		}
 	}
-	flush(len(runes))
-	// Fix Capitalized: it must reflect each word's own first rune, not the
-	// text's. Recompute properly in a second pass over the original runs.
-	return retagCapitals(runes, tokens)
+	if start >= 0 {
+		dst = append(dst, in.token(text[start:]))
+	}
+	return dst
 }
 
-// retagCapitals walks the rune stream again and sets Capitalized per token.
-func retagCapitals(runes []rune, tokens []Token) []Token {
-	idx := 0
-	start := -1
-	for i, r := range runes {
-		isWord := unicode.IsLetter(r) || unicode.IsDigit(r) || r == '\''
-		if isWord && start < 0 {
-			start = i
-			if idx < len(tokens) {
-				tokens[idx].Capitalized = unicode.IsUpper(r)
-			}
-		} else if !isWord && start >= 0 {
-			start = -1
-			idx++
-		}
+// token normalises one surface word. A nil interner allocates fresh strings.
+func (in *Interner) token(word string) Token {
+	if in == nil {
+		lower := strings.ToLower(word)
+		return Token{Text: lower, Stem: Stem(lower)}
 	}
-	return tokens
+	if t, ok := in.words[word]; ok {
+		return t
+	}
+	lower := in.intern(strings.ToLower(word))
+	t := Token{Text: lower, Stem: in.intern(Stem(lower))}
+	key := lower
+	if word != lower {
+		key = strings.Clone(word)
+	}
+	in.words[key] = t
+	return t
+}
+
+// intern returns the interner's copy of s, adding one if needed. The copy
+// never aliases s, which may be a slice of a longer text.
+func (in *Interner) intern(s string) string {
+	if v, ok := in.strs[s]; ok {
+		return v
+	}
+	s = strings.Clone(s)
+	in.strs[s] = s
+	return s
 }
 
 func isNumeric(s string) bool {

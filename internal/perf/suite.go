@@ -143,8 +143,9 @@ func RunSuite(cfg SuiteConfig) (*Report, error) {
 	// intersection skip-seeks across — with two mid-df stems, the shape
 	// question analysis produces. Both relaxation memos are off so every op
 	// prices the decode + intersection, not a cache hit. The same two indexes
-	// also report their exact postings footprints as deterministic size rows;
-	// CheckSizes gates the ≥2x compression floor on that pair.
+	// also report their exact postings footprints (PostingsBytes) as
+	// deterministic size rows; CheckSizes gates the ≥2x compression floor on
+	// that pair.
 	cfg.logf("building multi-block collection for the compressed-core benchmarks...\n")
 	deepCfg := cfg.Corpus
 	deepCfg.Name = cfg.Corpus.Name + "-deep"
@@ -189,8 +190,8 @@ func RunSuite(cfg SuiteConfig) (*Report, error) {
 		compIx.RetrieveParagraphs(kwSets[i%len(kwSets)])
 		i++
 	})
-	r.AddSize("index_bytes_plain", plainIx.IndexBytes())
-	r.AddSize("index_bytes_compressed", compIx.IndexBytes())
+	r.AddSize("index_bytes_plain", plainIx.PostingsBytes())
+	r.AddSize("index_bytes_compressed", compIx.PostingsBytes())
 
 	// --- PR+PS stages and full pipeline: sequential vs parallel engine.
 	stage := func(e *qa.Engine) func() {

@@ -171,8 +171,8 @@ func TestScoreMonotonicInMatches(t *testing.T) {
 	a := nlp.QuestionAnalysis{Keywords: []string{"alpha", "beta", "gamma"}}
 	full := &corpus.Paragraph{Tokens: nlp.Tokenize("alpha beta gamma together")}
 	partial := &corpus.Paragraph{Tokens: nlp.Tokenize("alpha beta something else entirely")}
-	sFull := testEngine.scoreOne(a, index.Retrieved{Para: full})
-	sPartial := testEngine.scoreOne(a, index.Retrieved{Para: partial})
+	sFull := testEngine.scoreOne(a, index.Retrieved{Para: full}, new(keywordHits))
+	sPartial := testEngine.scoreOne(a, index.Retrieved{Para: partial}, new(keywordHits))
 	if sFull.Score <= sPartial.Score {
 		t.Fatalf("full=%f ≤ partial=%f", sFull.Score, sPartial.Score)
 	}
@@ -185,8 +185,8 @@ func TestProximityBreaksTies(t *testing.T) {
 	a := nlp.QuestionAnalysis{Keywords: []string{"alpha", "beta"}}
 	near := &corpus.Paragraph{Tokens: nlp.Tokenize("alpha beta")}
 	far := &corpus.Paragraph{Tokens: nlp.Tokenize("alpha one two three four five six seven beta")}
-	sNear := testEngine.scoreOne(a, index.Retrieved{Para: near})
-	sFar := testEngine.scoreOne(a, index.Retrieved{Para: far})
+	sNear := testEngine.scoreOne(a, index.Retrieved{Para: near}, new(keywordHits))
+	sFar := testEngine.scoreOne(a, index.Retrieved{Para: far}, new(keywordHits))
 	if sNear.Score <= sFar.Score {
 		t.Fatalf("near=%f ≤ far=%f", sNear.Score, sFar.Score)
 	}

@@ -13,11 +13,10 @@
 // land on different nodes.
 //
 // Collection *text* remains replicated on every node: it regenerates
-// deterministically from the shared corpus.Config at negligible memory cost
-// next to the postings structures, and the serving path needs it everywhere
-// (paragraph references resolve against global paragraph ids on whichever
-// node runs answer processing). What sharding divides is the index — the
-// memory-dominant structure and the thing that caps corpus size per node.
+// deterministically from the shared corpus.Config, and the serving path
+// needs it everywhere (paragraph references resolve against global
+// paragraph ids on whichever node runs answer processing). What sharding
+// divides is the index — postings, term dictionary and paragraph term runs.
 //
 // The shard map (who holds which shard) is composed from holdings claims
 // carried on the existing heartbeat channel and versioned by an epoch that
