@@ -458,19 +458,22 @@ const minAPParasPerWorker = 8
 // sender-controlled recovery of Figure 5(c). Remote ap-subtask spans carry
 // the originating question's ID and come back in the sub-task response.
 func (n *Node) partitionAP(analysis nlp.QuestionAnalysis, accepted []qa.ScoredParagraph, parent obs.SpanContext, budget time.Time) ([][]qa.Answer, int) {
-	var idle []string
-	for _, p := range n.candidatePeers() {
-		if p.Questions == 0 && p.Queued == 0 && p.APTasks == 0 {
-			idle = append(idle, p.Addr)
-		}
-	}
 	// Distribute only when every worker gets enough paragraphs to out-earn
 	// its round-trip: an AP sub-task ships refs out and answers back
 	// (~tens of µs on loopback), while extracting from a handful of
 	// paragraphs is cheaper than that wire cost — the PR-2 adaptive-fanout
 	// lesson applied to AP. Grouping never changes the answer bytes
 	// (MergeAnswerSets is partition-insensitive), so the clamp is pure
-	// scheduling.
+	// scheduling. Below two workers' worth of paragraphs no peer can help,
+	// so the peer table is not consulted at all.
+	var idle []string
+	if len(accepted) >= 2*minAPParasPerWorker {
+		for _, p := range n.candidatePeers() {
+			if p.Questions == 0 && p.Queued == 0 && p.APTasks == 0 {
+				idle = append(idle, p.Addr)
+			}
+		}
+	}
 	workers := len(idle) + 1
 	if w := len(accepted) / minAPParasPerWorker; w < workers {
 		workers = w

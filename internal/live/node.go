@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -84,6 +85,7 @@ type Node struct {
 	cfg      NodeConfig
 	engine   *qa.Engine
 	listener net.Listener
+	addr     string // listener address, formatted once
 	started  time.Time
 
 	// Observability: per-node metrics registry, cached metric handles, the
@@ -246,7 +248,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			localSumVers[i] = sum.Version
 		}
 		sumStore = newSummaryStore()
-		rstats = make([]routeStats, shardK)
+		rstats = newRouteStats(shardK)
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -265,6 +267,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		cfg:      cfg,
 		engine:   engine,
 		listener: ln,
+		addr:     ln.Addr().String(),
 		started:  time.Now(),
 		obs:      reg,
 		nm:       newNodeMetrics(reg),
@@ -323,7 +326,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 }
 
 // Addr returns the node's bound address.
-func (n *Node) Addr() string { return n.listener.Addr().String() }
+func (n *Node) Addr() string { return n.addr }
 
 // Close stops the node. It is idempotent.
 func (n *Node) Close() {
@@ -459,14 +462,17 @@ func (n *Node) loadReport() LoadReport {
 func (n *Node) freshPeers() []LoadReport {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if len(n.peers) == 0 {
+		return nil
+	}
 	cutoff := time.Now().Add(-3 * n.cfg.HeartbeatEvery)
-	var out []LoadReport
+	out := make([]LoadReport, 0, len(n.peers))
 	for _, r := range n.peers {
 		if r.Sent.After(cutoff) {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	slices.SortFunc(out, func(a, b LoadReport) int { return strings.Compare(a.Addr, b.Addr) })
 	return out
 }
 
@@ -478,8 +484,9 @@ func (n *Node) freshPeers() []LoadReport {
 // succeeds).
 func (n *Node) candidatePeers() []LoadReport {
 	now := time.Now()
-	var out []LoadReport
-	for _, r := range n.freshPeers() {
+	fresh := n.freshPeers()
+	out := fresh[:0] // filter in place: the fresh slice is ours alone
+	for _, r := range fresh {
 		if n.detector.stateOf(r.Addr, now) != PeerAlive {
 			continue
 		}

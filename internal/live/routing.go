@@ -60,6 +60,18 @@ type routeStats struct {
 	skipped   atomic.Int64
 	scattered atomic.Int64
 	fallbacks atomic.Int64
+	// skipSpan is the shard's "route:skip" marker span name, formatted once
+	// at start: a routed shard-local ask skips K-1 shards.
+	skipSpan string
+}
+
+// newRouteStats returns the per-shard counter rows of a K-shard node.
+func newRouteStats(k int) []routeStats {
+	rs := make([]routeStats, k)
+	for s := range rs {
+		rs[s].skipSpan = fmt.Sprintf("route:skip shard=%d", s)
+	}
+	return rs
 }
 
 // storedSummary is one gossiped summary in the store, stamped with the
@@ -294,7 +306,7 @@ func (n *Node) planRoute(keywords []string, m shard.Map, parent obs.SpanContext)
 		case shard.RouteSkip:
 			n.nm.routeSkips.Inc()
 			n.routeStats[d.Shard].skipped.Add(1)
-			n.spans.StartSpan(fmt.Sprintf("route:skip shard=%d", d.Shard), "", parent).End()
+			n.spans.StartSpan(n.routeStats[d.Shard].skipSpan, "", parent).End()
 		case shard.RouteScatter:
 			n.nm.routeScatters.Inc()
 			n.routeStats[d.Shard].scattered.Add(1)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,6 +109,13 @@ type ActiveSpan struct {
 // is minted, making this span the root of a new trace. Safe on a nil
 // recorder (the span is still built and returned, but End records nothing).
 func (r *Recorder) StartSpan(name, stage string, ctx SpanContext) *ActiveSpan {
+	return &ActiveSpan{rec: r, span: r.open(name, stage, ctx)}
+}
+
+// open builds a started span. Keeping it out of StartSpan keeps StartSpan
+// small enough to inline, so an ActiveSpan that never leaves its caller
+// lives on the caller's stack instead of the heap.
+func (r *Recorder) open(name, stage string, ctx SpanContext) Span {
 	qid := ctx.QID
 	if qid == 0 {
 		qid = NewID()
@@ -116,7 +124,7 @@ func (r *Recorder) StartSpan(name, stage string, ctx SpanContext) *ActiveSpan {
 	if r != nil {
 		node = r.node
 	}
-	return &ActiveSpan{rec: r, span: Span{
+	return Span{
 		QID:    qid,
 		ID:     NewID(),
 		Parent: ctx.Span,
@@ -124,7 +132,7 @@ func (r *Recorder) StartSpan(name, stage string, ctx SpanContext) *ActiveSpan {
 		Stage:  stage,
 		Node:   node,
 		Start:  time.Now(),
-	}}
+	}
 }
 
 // Context returns the span's context for propagation to children (local or
@@ -215,7 +223,7 @@ func (r *Recorder) ByQID(qid int64) []Span {
 		out = append(out, r.spans[pos])
 	}
 	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+	slices.SortFunc(out, func(a, b Span) int { return a.Start.Compare(b.Start) })
 	return out
 }
 

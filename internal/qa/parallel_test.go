@@ -50,6 +50,12 @@ func TestParallelStageEquivalence(t *testing.T) {
 		if !sameRetrieved(seqRS, parRS) {
 			t.Fatalf("PR paragraph order diverges for %q", f.Question)
 		}
+		// The test corpus is below prParallelMinSubParas, so RetrieveAll ran
+		// sequentially above; drive the worker pool directly.
+		poolRS, poolPRCost := par.retrieveAllParallel(a, 4)
+		if poolPRCost != seqPRCost || !sameRetrieved(seqRS, poolRS) {
+			t.Fatalf("PR worker pool diverges for %q", f.Question)
+		}
 
 		seqSP, seqPSCost := testEngine.ScoreParagraphs(a, seqRS)
 		parSP, parPSCost := par.ScoreParagraphs(a, parRS)

@@ -1,9 +1,8 @@
 package shard
 
 import (
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -46,32 +45,16 @@ func (m Map) Missing() []int {
 	return out
 }
 
-// signature canonically encodes the placement (shard -> sorted holders) so
-// the tracker can detect change with one string compare.
-func signature(k int, replicas [][]string) string {
-	var b strings.Builder
-	for s := 0; s < k; s++ {
-		b.WriteString(strconv.Itoa(s))
-		b.WriteByte('=')
-		if s < len(replicas) {
-			b.WriteString(strings.Join(replicas[s], ","))
-		}
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
 // Tracker composes holdings claims (self + heartbeat-fresh peers) into the
 // current shard Map and owns the epoch: the epoch bumps exactly when the
-// composed placement signature changes. Each node runs its own tracker —
-// epochs are node-local versions of a node-local view, not a consensus
-// value; they only need to change when the view changes, which is what
-// cache invalidation requires.
+// composed placement changes. Each node runs its own tracker — epochs are
+// node-local versions of a node-local view, not a consensus value; they
+// only need to change when the view changes, which is what cache
+// invalidation requires.
 type Tracker struct {
 	mu    sync.Mutex
 	k     int
 	epoch int64
-	sig   string
 	cur   Map
 }
 
@@ -79,7 +62,6 @@ type Tracker struct {
 func NewTracker(k int) *Tracker {
 	t := &Tracker{k: k}
 	t.cur = Map{K: k, Epoch: 0, Replicas: make([][]string, k)}
-	t.sig = signature(k, t.cur.Replicas)
 	return t
 }
 
@@ -87,8 +69,16 @@ func NewTracker(k int) *Tracker {
 // and returns the resulting snapshot. The epoch bumps iff the placement
 // changed since the last composition — a dead node dropping out of the
 // claims, a restarted node re-appearing, or a claim changing shape all
-// bump; steady-state heartbeats do not.
+// bump; steady-state heartbeats do not, and return the current snapshot
+// without composing a new one (every question recomposes, so the steady
+// state must not allocate).
 func (t *Tracker) Update(claims map[string][]int) Map {
+	t.mu.Lock()
+	if t.matches(claims) {
+		defer t.mu.Unlock()
+		return t.cur
+	}
+	t.mu.Unlock()
 	replicas := make([][]string, t.k)
 	for addr, shards := range claims {
 		for _, s := range shards {
@@ -101,16 +91,42 @@ func (t *Tracker) Update(claims map[string][]int) Map {
 	for s := range replicas {
 		sort.Strings(replicas[s])
 	}
-	sig := signature(t.k, replicas)
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if sig != t.sig {
+	if !slices.EqualFunc(replicas, t.cur.Replicas, slices.Equal[[]string]) {
 		t.epoch++
-		t.sig = sig
 	}
 	t.cur = Map{K: t.k, Epoch: t.epoch, Replicas: replicas}
 	return t.cur
+}
+
+// matches reports whether claims compose exactly the current placement:
+// every in-range (address, shard) claim is a listed replica, and the claims
+// account for every listed replica. Caller holds t.mu.
+func (t *Tracker) matches(claims map[string][]int) bool {
+	pairs := 0
+	for addr, shards := range claims {
+		for i, s := range shards {
+			if s < 0 || s >= t.k {
+				continue
+			}
+			if slices.Contains(shards[:i], s) {
+				// A repeated claim lists the holder twice; let the full
+				// composition decide.
+				return false
+			}
+			if !slices.Contains(t.cur.Replicas[s], addr) {
+				return false
+			}
+			pairs++
+		}
+	}
+	listed := 0
+	for _, rs := range t.cur.Replicas {
+		listed += len(rs)
+	}
+	return pairs == listed
 }
 
 // Current returns the latest composed snapshot.

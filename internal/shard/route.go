@@ -1,8 +1,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"distqa/internal/qa"
 )
@@ -95,12 +96,12 @@ func PlanRoute(k int, keywords []string, lookup func(s int) (*Summary, bool)) Ro
 			p.Scatter = append(p.Scatter, s)
 		}
 	}
-	sort.SliceStable(p.Scatter, func(i, j int) bool {
-		a, b := p.Decisions[p.Scatter[i]], p.Decisions[p.Scatter[j]]
+	slices.SortStableFunc(p.Scatter, func(i, j int) int {
+		a, b := p.Decisions[i], p.Decisions[j]
 		if a.Expect != b.Expect {
-			return a.Expect > b.Expect
+			return cmp.Compare(b.Expect, a.Expect)
 		}
-		return a.Shard < b.Shard
+		return cmp.Compare(a.Shard, b.Shard)
 	})
 	return p
 }

@@ -135,4 +135,22 @@ func TestTrackerEpoch(t *testing.T) {
 	if !m5.Complete() {
 		t.Fatalf("out-of-range claim broke composition: %+v", m5)
 	}
+	if m5.Epoch != 3 {
+		t.Fatalf("out-of-range claims changed the placement: epoch=%d", m5.Epoch)
+	}
+	// Two holders trading shards keep the replica count but change the
+	// placement -> bump.
+	m6 := tr.Update(map[string][]int{"a:1": {1}, "b:1": {0}})
+	if m6.Epoch != 4 || m6.Replicas[0][0] != "b:1" {
+		t.Fatalf("swap: epoch=%d replicas=%v", m6.Epoch, m6.Replicas)
+	}
+	// A repeated claim lists its holder twice, which is a different
+	// placement from listing it once.
+	m7 := tr.Update(map[string][]int{"a:1": {1, 1}})
+	if m7.Epoch != 5 || !reflect.DeepEqual(m7.Replicas[1], []string{"a:1", "a:1"}) {
+		t.Fatalf("repeated claim: epoch=%d replicas=%v", m7.Epoch, m7.Replicas)
+	}
+	if m8 := tr.Update(map[string][]int{"a:1": {1}, "b:1": {1}}); m8.Epoch != 6 {
+		t.Fatalf("claims matching the repeated placement's size: epoch=%d", m8.Epoch)
+	}
 }
